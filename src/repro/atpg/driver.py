@@ -207,23 +207,19 @@ def hybrid_test_sequence(
     random_max_len: int = 2000,
     atpg_config: AtpgConfig | None = None,
     compiled: CompiledCircuit | None = None,
-    sim_backend=None,
 ) -> GeneratedTest:
     """Random walk first, deterministic ATPG on the leftovers.
 
     The STRATEGATE-class substitute: simulation-based search covers the
     random-testable bulk cheaply; PODEM mops up targetable stragglers.
     Returns the same :class:`GeneratedTest` shape the random generator
-    does, so it drops into every flow unchanged.  ``sim_backend``
-    selects the fault-simulation backend for the random phase and the
-    final grading run (results are backend-independent).
+    does, so it drops into every flow unchanged.
     """
     comp = compiled or compile_circuit(circuit)
     if faults is None:
         faults = collapse_faults(circuit)
     random_phase = generate_test_sequence(
-        circuit, faults, seed=seed, max_len=random_max_len, compiled=comp,
-        sim_backend=sim_backend,
+        circuit, faults, seed=seed, max_len=random_max_len, compiled=comp
     )
     if not random_phase.undetected:
         return random_phase
@@ -232,7 +228,7 @@ def hybrid_test_sequence(
         circuit, list(random_phase.undetected), atpg_config, comp
     )
     combined = random_phase.sequence.concat(det_phase.sequence)
-    final = FaultSimulator(circuit, comp, backend=sim_backend).run(
+    final = FaultSimulator(circuit, comp).run(
         combined.patterns, list(faults)
     )
     return GeneratedTest(

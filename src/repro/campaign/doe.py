@@ -4,9 +4,9 @@ The paper's Table 6 is itself a (small) designed experiment — one flow
 run per circuit at fixed knobs.  This module generalizes it: a
 :class:`GridSpec` names factor levels over the :class:`~repro.serve.
 job.JobSpec` knobs (circuit, ``seed``, ``l_g``, ``tgen_mode``,
-``tgen_max_len``, ``compaction_sims``, ``static_prune``,
-``sim_backend``, …), :func:`build_design` expands it into a full or
-even-parity fractional factorial of :class:`DesignPoint`\\ s, and
+``tgen_max_len``, ``compaction_sims``, ``static_prune``, …),
+:func:`build_design` expands it into a full or even-parity
+fractional factorial of :class:`DesignPoint`\\ s, and
 :func:`run_campaign` drives the points — through a live campaign
 server via :class:`~repro.serve.client.ServeClient`, or locally
 through the same :func:`~repro.serve.worker.execute_job` core the
@@ -47,7 +47,7 @@ _INT_FACTORS = frozenset(
         "priority",
     }
 )
-_STR_FACTORS = frozenset({"circuit", "task", "tgen_mode", "sim_backend"})
+_STR_FACTORS = frozenset({"circuit", "task", "tgen_mode"})
 FACTOR_NAMES = tuple(
     sorted(_BOOL_FACTORS | _INT_FACTORS | _STR_FACTORS)
 )

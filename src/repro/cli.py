@@ -387,11 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--static-prune", action="store_true",
                    help="run the certified static pre-prune; the result "
                         "reports the proved-untestable faults")
-    p.add_argument("--sim-backend", default="auto",
-                   choices=("auto", "python", "vector"),
-                   help="fault-simulation backend the job runs with; "
-                        "results (and the job key) are backend-"
-                        "independent (default: auto)")
     p.add_argument("--job-workers", type=int, default=1, metavar="N",
                    help="worker processes the job may use (default: 1)")
     p.add_argument("--wait", action="store_true",
@@ -541,11 +536,6 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("runtime")
     g.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for fault simulation (default: 1)")
-    g.add_argument("--sim-backend", default="auto",
-                   choices=("auto", "python", "vector"),
-                   help="fault-simulation backend; results are "
-                        "bit-identical, 'vector' packs faults into "
-                        "machine words (default: auto)")
     g.add_argument("--cache-dir", type=Path, default=None, metavar="PATH",
                    help="artifact cache directory "
                         "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -627,7 +617,6 @@ def _make_runtime(args: argparse.Namespace):
         chaos=args.chaos,
         resume=args.resume,
         trace=getattr(args, "trace", None) is not None,
-        sim_backend=getattr(args, "sim_backend", "auto"),
     )
 
 
@@ -651,7 +640,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         procedure=ProcedureConfig(l_g=args.lg),
         synthesize_hardware=True,
         static_prune=args.static_prune,
-        sim_backend=args.sim_backend,
     )
     from repro.resilience import handle_termination
 
@@ -749,7 +737,7 @@ def _cmd_table6(args: argparse.Namespace) -> int:
 
     names = tuple(args.circuits) or None
     with _make_runtime(args) as runtime, handle_termination():
-        rows = table6_rows(names, runtime=runtime, sim_backend=args.sim_backend)
+        rows = table6_rows(names, runtime=runtime)
     print(format_table6(rows))
     if args.stats:
         print()
@@ -793,7 +781,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         tgen_max_len=args.tgen_max_len,
         compaction_sims=args.compaction_sims,
         static_prune=args.static_prune,
-        sim_backend=args.sim_backend,
     )
     with _make_runtime(args) as runtime, handle_termination():
         result = run_optimize(circuit, config, runtime=runtime)
@@ -1052,7 +1039,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         tgen_mode="hybrid" if args.hybrid else "random",
         synthesize_hardware=args.synthesize,
         static_prune=args.static_prune,
-        sim_backend=args.sim_backend,
         population=args.population,
         generations=args.generations,
         client=client_id,

@@ -54,7 +54,6 @@ def reverse_order_simulation(
     compiled: CompiledCircuit | None = None,
     simulator=None,
     runtime=None,
-    sim_backend=None,
 ) -> ReverseOrderResult:
     """Remove redundant weight assignments from ``result.omega``.
 
@@ -65,15 +64,14 @@ def reverse_order_simulation(
 
     ``simulator`` defaults to the stuck-at fault simulator; pass the
     same simulator the procedure ran with when targeting a different
-    fault model.  ``runtime`` and ``sim_backend`` (both ignored when
-    ``simulator`` is given) plug the default simulator into the cache /
-    worker pool and pick its backend.
+    fault model.  ``runtime`` (ignored when ``simulator`` is given)
+    plugs the default simulator into the cache / worker pool.
     """
     comp = compiled or compile_circuit(circuit)
     sim = (
         simulator
         if simulator is not None
-        else FaultSimulator(circuit, comp, runtime=runtime, backend=sim_backend)
+        else FaultSimulator(circuit, comp, runtime=runtime)
     )
     pending: Set[Fault] = set(result.target_faults)
 

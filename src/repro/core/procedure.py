@@ -236,7 +236,6 @@ def select_weight_assignments(
     compiled: CompiledCircuit | None = None,
     simulator=None,
     runtime=None,
-    sim_backend: Optional[str] = None,
 ) -> ProcedureResult:
     """Run the paper's overall procedure (Section 4.2).
 
@@ -267,10 +266,6 @@ def select_weight_assignments(
         cache and worker pool accelerate the screening/simulation work;
         the result is identical with or without it (see the module
         docstring for the speculative-batch rule).
-    sim_backend:
-        Fault-simulation backend for the default simulator
-        (``"auto"``/``"python"``/``"vector"``; ignored when
-        ``simulator`` is given).  Results are backend-independent.
 
     Returns
     -------
@@ -288,18 +283,18 @@ def select_weight_assignments(
     sim = (
         simulator
         if simulator is not None
-        else FaultSimulator(circuit, comp, runtime=runtime, backend=sim_backend)
+        else FaultSimulator(circuit, comp, runtime=runtime)
     )
     if faults is None:
         faults = collapse_faults(circuit)
     # Speculative screening batches pay off with pool workers (batch
-    # screening is pool-aware) and with the serial vector backend
-    # (several candidate sequences share one multi-block kernel pass).
+    # screening is pool-aware) and serially too (several candidate
+    # sequences share one multi-block kernel pass).
     batch_size = 1
     if type(sim) is FaultSimulator:
         if runtime is not None and runtime.executor.jobs > 1:
             batch_size = runtime.executor.jobs * 2
-        elif getattr(sim, "_use_vector", False):
+        else:
             batch_size = 8
 
     l_g = max(cfg.l_g, len(sequence))

@@ -56,11 +56,7 @@ def active_suite() -> Tuple[str, ...]:
     return DEFAULT_SUITE
 
 
-def flow_config_for(
-    circuit_name: str,
-    l_g: int | None = None,
-    sim_backend: str = "auto",
-) -> FlowConfig:
+def flow_config_for(circuit_name: str, l_g: int | None = None) -> FlowConfig:
     """The benchmark configuration for one circuit."""
     if l_g is None:
         l_g = LG_BY_CIRCUIT.get(circuit_name, DEFAULT_LG)
@@ -69,7 +65,6 @@ def flow_config_for(
         tgen_max_len=2000,
         compaction_sims=60,
         procedure=ProcedureConfig(l_g=l_g),
-        sim_backend=sim_backend,
     )
 
 
@@ -77,26 +72,21 @@ def flow_for(
     circuit_name: str,
     l_g: int | None = None,
     runtime=None,
-    sim_backend: str = "auto",
 ) -> FlowResult:
     """Run (or fetch from cache) the full flow for ``circuit_name``.
 
     ``runtime`` (a :class:`~repro.runtime.context.RuntimeContext`) is
     only consulted on a cache miss; results are runtime-independent so
-    the in-process cache stays valid either way.  ``sim_backend`` is
-    part of the cache key even though results are backend-identical,
-    so a forced-backend run really exercises that backend.
+    the in-process cache stays valid either way.
     """
-    cfg = flow_config_for(circuit_name, l_g, sim_backend)
-    key = (circuit_name, cfg.procedure.l_g, cfg.seed, cfg.sim_backend)
+    cfg = flow_config_for(circuit_name, l_g)
+    key = (circuit_name, cfg.procedure.l_g, cfg.seed)
     if key not in _FLOW_CACHE:
         _FLOW_CACHE[key] = run_full_flow(circuit_name, cfg, runtime=runtime)
     return _FLOW_CACHE[key]
 
 
-def _checkpointed_row(
-    circuit_name: str, runtime, sim_backend: str = "auto"
-) -> Optional[Table6Row]:
+def _checkpointed_row(circuit_name: str, runtime) -> Optional[Table6Row]:
     """The circuit's journaled Table-6 row, if resumable.
 
     Only consulted when ``runtime`` carries a checkpoint journal *and*
@@ -109,7 +99,7 @@ def _checkpointed_row(
     journal = getattr(runtime, "journal", None)
     if journal is None:
         return None
-    cfg = flow_config_for(circuit_name, sim_backend=sim_backend)
+    cfg = flow_config_for(circuit_name)
     payload = journal.get(flow_journal_key(circuit_name, asdict(cfg)))
     if not isinstance(payload, dict) or payload.get("kind") != "flow":
         return None
@@ -128,7 +118,6 @@ def _checkpointed_row(
 def table6_rows(
     circuit_names: Tuple[str, ...] | None = None,
     runtime=None,
-    sim_backend: str = "auto",
 ) -> List[Table6Row]:
     """Regenerate the paper's Table 6 over ``circuit_names``.
 
@@ -142,15 +131,13 @@ def table6_rows(
     rows: List[Table6Row] = []
     with traced(runtime, "table6_sweep", circuits=len(names)):
         for name in names:
-            row = _checkpointed_row(name, runtime, sim_backend)
+            row = _checkpointed_row(name, runtime)
             if row is not None:
                 runtime.stats.journal_skips += 1
                 trace_event(runtime, "journal_skip", circuit=name)
                 rows.append(row)
                 continue
-            rows.append(
-                flow_for(name, runtime=runtime, sim_backend=sim_backend).table6
-            )
+            rows.append(flow_for(name, runtime=runtime).table6)
     return rows
 
 

@@ -50,6 +50,9 @@ TGEN_MODES = ("random", "hybrid")
 class FlowConfig:
     """Configuration for the full pipeline.
 
+    Every stage fault-simulates on the word-packed kernel
+    (:mod:`repro.sim.vector`); no field selects an engine.
+
     Attributes
     ----------
     seed:
@@ -76,10 +79,6 @@ class FlowConfig:
         machine-checkable certificate and is reported in
         :attr:`FlowResult.pruned`; coverage denominators and every
         other output are identical to an unpruned run.
-    sim_backend:
-        Fault-simulation backend for every stage
-        (``"auto"``/``"python"``/``"vector"``).  Backends are
-        bit-identical; this only selects the implementation.
     """
 
     seed: int = 1
@@ -89,7 +88,6 @@ class FlowConfig:
     procedure: ProcedureConfig = field(default_factory=ProcedureConfig)
     synthesize_hardware: bool = False
     static_prune: bool = False
-    sim_backend: str = "auto"
 
 
 @dataclass
@@ -198,10 +196,7 @@ def _run_stages(
         with traced(runtime, "static_analysis_stage"):
             pruner = FaultPruner(circuit, runtime=runtime)
             pruned_report = pruner.report(faults)
-            sim = FaultSimulator(
-                circuit, comp, runtime=runtime, pruner=pruner,
-                backend=cfg.sim_backend,
-            )
+            sim = FaultSimulator(circuit, comp, runtime=runtime, pruner=pruner)
         timings["static_analysis"] = time.perf_counter() - t0
         trace_event(
             runtime,
@@ -222,12 +217,11 @@ def _run_stages(
                 seed=cfg.seed,
                 random_max_len=cfg.tgen_max_len,
                 compiled=comp,
-                sim_backend=cfg.sim_backend,
             )
         elif cfg.tgen_mode == "random":
             generated = generate_test_sequence(
                 circuit, faults, seed=cfg.seed, max_len=cfg.tgen_max_len,
-                compiled=comp, sim_backend=cfg.sim_backend,
+                compiled=comp,
             )
         else:
             raise ReproError(f"unknown tgen_mode {cfg.tgen_mode!r}")
@@ -254,7 +248,6 @@ def _run_stages(
                 max_simulations=cfg.compaction_sims,
                 compiled=comp,
                 runtime=runtime,
-                sim_backend=cfg.sim_backend,
             )
         sequence = compaction.sequence
         timings["compaction"] = time.perf_counter() - t0
@@ -266,7 +259,7 @@ def _run_stages(
     with traced(runtime, "procedure", l_g=cfg.procedure.l_g):
         procedure = select_weight_assignments(
             circuit, sequence, faults, cfg.procedure, compiled=comp,
-            simulator=sim, runtime=runtime, sim_backend=cfg.sim_backend,
+            simulator=sim, runtime=runtime,
         )
     timings["procedure"] = time.perf_counter() - t0
     trace_event(
@@ -276,8 +269,7 @@ def _run_stages(
     t0 = time.perf_counter()
     with traced(runtime, "reverse_order"):
         reverse_order = reverse_order_simulation(
-            circuit, procedure, comp, simulator=sim, runtime=runtime,
-            sim_backend=cfg.sim_backend,
+            circuit, procedure, comp, simulator=sim, runtime=runtime
         )
     timings["reverse_order"] = time.perf_counter() - t0
     trace_event(

@@ -10,11 +10,12 @@ Three layers keep it cheap without ever changing a result:
    in the runtime's disk cache under
    ``simulation_key(circuit, T_G, F, {"kind": "optimize_phase"})``; a
    rerun (or another job on the same machine) reuses them.
-3. **Executor fan-out** — phases still pending after both layers are
-   flattened into per-fault-group simulation tasks and dispatched
-   through ``RuntimeContext.executor.run_group_tasks``; results merge
-   in task order, so the outcome is bit-identical for any worker count
-   (and under the executor's whole failure-recovery repertoire).
+3. **Executor fan-out** — phases still pending after both layers
+   become one simulation task each (the kernel packs every kept fault
+   of a phase into one pass), dispatched through
+   ``RuntimeContext.executor.run_group_tasks``; results merge in task
+   order, so the outcome is bit-identical for any worker count (and
+   under the executor's whole failure-recovery repertoire).
 
 The TPG-area objective is memoized per (assignment tuple, window):
 synthesis is pure, so the memo is exact.
@@ -31,7 +32,7 @@ from repro.hw.cost import tpg_cost
 from repro.hw.tpg import synthesize_tpg
 from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.faults import Fault, FaultPruner, fault_name
-from repro.sim.faultsim import GROUP_FAULTS, FaultSimulator
+from repro.sim.faultsim import FaultSimulator
 from repro.trace import trace_event
 
 #: A phase is one weight assignment applied for one window of cycles.
@@ -64,13 +65,6 @@ class PhaseEvaluator:
         denominator and coverage count) still spans the full target
         list, so results — and cached artifacts — are shared verbatim
         with unpruned evaluators.
-    backend:
-        Fault-simulation backend selector (resolved against ``runtime``
-        and the environment, see
-        :func:`repro.sim.backend.resolve_backend`).  The vector backend
-        simulates every fault of a phase in one pass, so its tasks are
-        per-phase rather than per-fault-group; detected sets — and the
-        cache entries keyed purely by content — are identical.
     """
 
     def __init__(
@@ -80,15 +74,11 @@ class PhaseEvaluator:
         runtime=None,
         compiled: CompiledCircuit | None = None,
         pruner: Optional[FaultPruner] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        from repro.sim.backend import resolve_backend
-
         self.circuit = circuit
         self.comp = compiled or compile_circuit(circuit)
         self.faults: Tuple[Fault, ...] = tuple(target_faults)
         self.runtime = runtime
-        self.backend = resolve_backend(backend, runtime)
         if pruner is not None:
             kept, _ = pruner.split(self.faults)
             self._sim_faults: Tuple[Fault, ...] = tuple(kept)
@@ -173,70 +163,33 @@ class PhaseEvaluator:
     def _simulate_pending(
         self, pending: List[PhaseKey], stimuli: Dict[PhaseKey, Tuple]
     ) -> None:
-        """Simulate the remaining phases — fanned out per fault group.
+        """Simulate the remaining phases — one task per phase.
 
-        Tasks are built in (phase, group) order and results merged in
-        the same order; the executor returns them positionally, so the
-        merge is independent of scheduling.  The vector backend packs
-        the whole kept fault list into one word-parallel pass, so its
-        tasks are one per phase (serially it batches all pending phases
-        through one engine); detected sets are identical either way.
+        The kernel packs the whole kept fault list into one pass, so
+        each phase is one executor task (serially, all pending phases
+        share one batched kernel run).  Results come back positionally,
+        so the merge is independent of scheduling.  Certified-untestable
+        faults cannot contribute detections, so simulating the kept
+        faults only leaves the detected-name sets (and everything cached
+        under ``self.faults``) unchanged.
         """
         if not pending:
             return
         ctx = self.runtime
         if ctx is not None:
-            if self.backend == "vector":
-                tasks = [
-                    (
-                        self._bench_text,
-                        stimuli[key],
-                        list(self._sim_faults),
-                        False,
-                        True,
-                        self.backend,
-                    )
-                    for key in pending
-                ]
-                parts = ctx.executor.run_group_tasks(tasks)
-                for key, part in zip(pending, parts):
-                    names = [fault_name(f) for f in part.detection_time]
-                    self._store(key, frozenset(names), stimuli[key])
-                return
-            # Group packing over the kept faults only — certified-
-            # untestable faults cannot contribute detections, so the
-            # detected-name sets (and everything cached under
-            # self.faults) are unchanged.
-            groups = [
-                list(self._sim_faults[start : start + GROUP_FAULTS])
-                for start in range(0, len(self._sim_faults), GROUP_FAULTS)
-            ]
+            faults = list(self._sim_faults)
             tasks = [
-                (self._bench_text, stimuli[key], group, False, True)
+                (self._bench_text, stimuli[key], faults, False, True)
                 for key in pending
-                for group in groups
             ]
-            parts = ctx.executor.run_group_tasks(tasks)
-            for p, key in enumerate(pending):
-                names: List[str] = []
-                for part in parts[p * len(groups) : (p + 1) * len(groups)]:
-                    names.extend(fault_name(f) for f in part.detection_time)
-                self._store(key, frozenset(names), stimuli[key])
+            results = ctx.executor.run_group_tasks(tasks)
         else:
-            sim = FaultSimulator(self.circuit, self.comp, backend=self.backend)
-            if getattr(sim, "_use_vector", False) and len(pending) > 1:
-                results = sim.run_batch(
-                    [list(stimuli[key]) for key in pending],
-                    list(self._sim_faults),
-                )
-                for key, result in zip(pending, results):
-                    names = [fault_name(f) for f in result.detection_time]
-                    self._store(key, frozenset(names), stimuli[key])
-                return
-            for key in pending:
-                result = sim.run(stimuli[key], self._sim_faults)
-                names = [fault_name(f) for f in result.detection_time]
-                self._store(key, frozenset(names), stimuli[key])
+            results = FaultSimulator(self.circuit, self.comp).run_batch(
+                [list(stimuli[key]) for key in pending], list(self._sim_faults)
+            )
+        for key, result in zip(pending, results):
+            names = frozenset(fault_name(f) for f in result.detection_time)
+            self._store(key, names, stimuli[key])
 
     def _store(self, key: PhaseKey, detected: FrozenSet[str], stimulus) -> None:
         self._memo[key] = detected

@@ -84,10 +84,6 @@ class OptimizeConfig:
         Scores, fronts and cached artifacts are identical either way —
         pruned faults are never detectable — so this is purely a
         speed/reporting knob.
-    sim_backend:
-        Fault-simulation backend for phase evaluation and the baseline
-        flow (``"auto"``/``"python"``/``"vector"``).  Backends are
-        bit-identical, so scores and fronts never depend on it.
     """
 
     seed: int = 1
@@ -102,12 +98,8 @@ class OptimizeConfig:
     compaction_sims: int = 60
     l_g: int = 512
     static_prune: bool = False
-    sim_backend: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.sim.backend import validate_backend
-
-        validate_backend(self.sim_backend)
         if self.population < 2:
             raise OptimizeError(
                 f"population must be at least 2, got {self.population}"
@@ -177,7 +169,6 @@ def _flow_config(config: OptimizeConfig) -> FlowConfig:
         compaction_sims=config.compaction_sims,
         procedure=ProcedureConfig(l_g=config.l_g),
         static_prune=config.static_prune,
-        sim_backend=config.sim_backend,
     )
 
 
@@ -243,7 +234,7 @@ class _Search:
             pruner = FaultPruner(circuit, runtime=runtime)
         self.evaluator = PhaseEvaluator(
             circuit, flow.procedure.target_faults, runtime=runtime,
-            pruner=pruner, backend=config.sim_backend,
+            pruner=pruner,
         )
         self.archive: Dict[Genome, Objectives] = {}
         self.population: List[Genome] = []

@@ -43,6 +43,10 @@ LINT_POLICIES = ("off", "warn", "strict")
 class RuntimeContext:
     """Bundle of executor, artifact cache and stats.
 
+    Fault simulators created under a context always run the word-packed
+    kernel (:mod:`repro.sim.vector`); the context only decides where
+    that work runs and whether its results are cached.
+
     Parameters
     ----------
     jobs:
@@ -102,13 +106,6 @@ class RuntimeContext:
     tracer:
         Use an existing tracer instead of creating one (implies
         tracing; ``trace`` is then ignored).
-    sim_backend:
-        Default fault-simulation backend for simulators created under
-        this context: ``"auto"`` (default), ``"python"`` or
-        ``"vector"``.  An explicit ``backend=`` argument on a simulator
-        still wins; see :func:`repro.sim.backend.resolve_backend` for
-        the full precedence chain.  Both backends produce bit-identical
-        results — this knob only selects the implementation.
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class RuntimeContext:
         resume: bool = False,
         trace: bool = False,
         tracer: Optional[Tracer] = None,
-        sim_backend: str = "auto",
     ) -> None:
         # Validate every knob *before* any worker pool exists, so a
         # configuration error can never leak a ProcessPoolExecutor.
@@ -136,9 +132,6 @@ class RuntimeContext:
                 f"unknown lint policy {lint!r}; expected one of "
                 f"{', '.join(LINT_POLICIES)}"
             )
-        from repro.sim.backend import validate_backend
-
-        self.sim_backend = validate_backend(sim_backend)
         if isinstance(chaos, str):
             chaos = ChaosSpec.parse(chaos)
         self.chaos = chaos

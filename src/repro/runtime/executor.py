@@ -80,11 +80,9 @@ Validator = Callable[[Any], bool]
 _UNSET = object()
 
 
-def _worker_sim(bench_text: str, backend: Optional[str] = None):
+def _worker_sim(bench_text: str):
     """The (memoized) fault simulator for ``bench_text`` in this process."""
     key = hashlib.sha1(bench_text.encode("utf-8")).hexdigest()
-    if backend is not None:
-        key = f"{key}:{backend}"
     sim = _WORKER_SIMS.get(key)
     if sim is None:
         # Imported lazily: workers under the ``spawn`` start method
@@ -92,23 +90,16 @@ def _worker_sim(bench_text: str, backend: Optional[str] = None):
         from repro.circuit.bench import parse_bench_text
         from repro.sim.faultsim import FaultSimulator
 
-        sim = FaultSimulator(
-            parse_bench_text(bench_text, name="worker"), backend=backend
-        )
+        sim = FaultSimulator(parse_bench_text(bench_text, name="worker"))
         _WORKER_SIMS[key] = sim
     return sim
 
 
 def _run_group_task(task) -> Tuple[object, float]:
-    """Worker: whole-sequence fault simulation of one fault group.
-
-    Tasks are 5-tuples, optionally extended with a sixth element naming
-    the sim backend the dispatching simulator resolved to.
-    """
-    bench_text, stimulus, faults, record_lines, stop = task[:5]
-    backend = task[5] if len(task) > 5 else None
+    """Worker: whole-sequence fault simulation of one fault group."""
+    bench_text, stimulus, faults, record_lines, stop = task
     t0 = time.perf_counter()
-    sim = _worker_sim(bench_text, backend)
+    sim = _worker_sim(bench_text)
     result = sim.run(
         stimulus,
         faults,
@@ -120,10 +111,9 @@ def _run_group_task(task) -> Tuple[object, float]:
 
 def _screen_task(task) -> Tuple[bool, float]:
     """Worker: one screening (``detects_any``) run."""
-    bench_text, stimulus, sample = task[:3]
-    backend = task[3] if len(task) > 3 else None
+    bench_text, stimulus, sample = task
     t0 = time.perf_counter()
-    sim = _worker_sim(bench_text, backend)
+    sim = _worker_sim(bench_text)
     return sim.detects_any(stimulus, sample), time.perf_counter() - t0
 
 
@@ -169,7 +159,6 @@ class SerialExecutor:
         groups: Sequence[Sequence],
         record_lines: bool,
         stop_when_all_detected: bool,
-        backend: Optional[str] = None,
     ) -> List[object]:
         """Simulate each fault group; per-group results in group order."""
         out = []
@@ -177,8 +166,6 @@ class SerialExecutor:
             task = (
                 bench_text, stimulus, group, record_lines, stop_when_all_detected
             )
-            if backend is not None:
-                task = task + (backend,)
             result, elapsed = _run_group_task(task)
             self._add_task_span("fault_group", task, elapsed)
             out.append(result)
@@ -204,14 +191,11 @@ class SerialExecutor:
         bench_text: str,
         stimuli: Sequence,
         sample: Sequence,
-        backend: Optional[str] = None,
     ) -> List[bool]:
         """Screen each stimulus against ``sample``; verdicts in order."""
         out = []
         for stimulus in stimuli:
             task = (bench_text, stimulus, sample)
-            if backend is not None:
-                task = task + (backend,)
             verdict, elapsed = _screen_task(task)
             self._add_task_span("screen", task, elapsed)
             out.append(verdict)
@@ -500,13 +484,10 @@ class ProcessExecutor:
         groups: Sequence[Sequence],
         record_lines: bool,
         stop_when_all_detected: bool,
-        backend: Optional[str] = None,
     ) -> List[object]:
         """Simulate fault groups on the pool; results in group order."""
-        extra = () if backend is None else (backend,)
         tasks = [
             (bench_text, stimulus, group, record_lines, stop_when_all_detected)
-            + extra
             for group in groups
         ]
         return self._map(
@@ -528,13 +509,9 @@ class ProcessExecutor:
         bench_text: str,
         stimuli: Sequence,
         sample: Sequence,
-        backend: Optional[str] = None,
     ) -> List[bool]:
         """Screen stimuli on the pool; verdicts in task order."""
-        extra = () if backend is None else (backend,)
-        tasks = [
-            (bench_text, stimulus, sample) + extra for stimulus in stimuli
-        ]
+        tasks = [(bench_text, stimulus, sample) for stimulus in stimuli]
         return self._map(_screen_task, tasks, _valid_screen_result, "screen")
 
     def close(self) -> None:

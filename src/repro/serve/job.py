@@ -61,6 +61,9 @@ _KEY_BYTES = 16
 class JobSpec:
     """One requested flow run.
 
+    No field selects a fault-simulation engine: every job runs on the
+    word-packed kernel.
+
     Attributes
     ----------
     circuit:
@@ -80,12 +83,6 @@ class JobSpec:
         Run the certified static pre-prune before fault simulation;
         the result gains a ``proved_untestable`` section and the job
         key changes only when the flag is set (old keys stay valid).
-    sim_backend:
-        Fault-simulation backend (``"auto"``/``"python"``/``"vector"``).
-        Backends are bit-identical, so — like the execution budget — it
-        is *excluded* from :meth:`result_fields` and the job key: two
-        clients demanding the same computation share one result no
-        matter which engine computes it.
     priority:
         0–9, higher runs first; FIFO within a priority.
     client:
@@ -106,7 +103,6 @@ class JobSpec:
     l_g: int = 512
     synthesize_hardware: bool = False
     static_prune: bool = False
-    sim_backend: str = "auto"
     population: int = 8
     generations: int = 2
     priority: int = DEFAULT_PRIORITY
@@ -131,13 +127,6 @@ class JobSpec:
             raise ServeError(
                 f"unknown tgen_mode {self.tgen_mode!r}; expected one of "
                 f"{', '.join(TGEN_MODES)}"
-            )
-        from repro.sim.backend import BACKENDS
-
-        if self.sim_backend not in BACKENDS:
-            raise ServeError(
-                f"unknown sim_backend {self.sim_backend!r}; expected one "
-                f"of {', '.join(BACKENDS)}"
             )
         if not MIN_PRIORITY <= self.priority <= MAX_PRIORITY:
             raise ServeError(
@@ -207,7 +196,6 @@ class JobSpec:
             procedure=ProcedureConfig(l_g=self.l_g),
             synthesize_hardware=self.synthesize_hardware,
             static_prune=self.static_prune,
-            sim_backend=self.sim_backend,
         )
 
     def optimize_config(self) -> "OptimizeConfig":
@@ -224,7 +212,6 @@ class JobSpec:
             tgen_max_len=self.tgen_max_len,
             compaction_sims=self.compaction_sims,
             static_prune=self.static_prune,
-            sim_backend=self.sim_backend,
         )
 
     def budget(self) -> Tuple[int, Optional[float], int]:
@@ -244,17 +231,27 @@ class JobSpec:
         Raises :class:`ServeError` on anything malformed — unknown
         fields, wrong types, out-of-range values — so the HTTP layer
         can turn every bad submission into a clean 400.
+
+        The one tolerated extra is the retired ``sim_backend`` engine
+        selector that older clients and journals still carry: it never
+        entered :meth:`result_fields`, so it is dropped (when it holds
+        one of its three old values) and the job keeps its key.
         """
         if not isinstance(payload, Mapping):
             raise ServeError(f"job spec is not an object: {payload!r}")
+        raw: Dict[str, object] = dict(payload)
+        if "sim_backend" in raw:
+            legacy = raw.pop("sim_backend")
+            if legacy not in ("auto", "python", "vector"):
+                raise ServeError(f"unknown sim_backend {legacy!r}")
         known = {f: None for f in cls.__dataclass_fields__}
-        unknown = sorted(set(payload) - set(known))
+        unknown = sorted(set(raw) - set(known))
         if unknown:
             raise ServeError(
                 f"unknown job spec field(s): {', '.join(unknown)}"
             )
         try:
-            return cls(**dict(payload))  # type: ignore[arg-type]
+            return cls(**raw)  # type: ignore[arg-type]
         except TypeError as exc:
             raise ServeError(f"malformed job spec: {exc}") from exc
 

@@ -15,6 +15,12 @@ the server process, is bounded per job (old events fall off the
 front), and losing it loses nothing — results, traces and the queue
 journal are the durable record.  A job finished in an earlier server
 life simply reports ``closed`` with no events.
+
+For every job it has seen, the book alone decides ``closed``: producers
+post a job's final event *before* closing it, whereas the queue marks
+the job terminal before that post, so trusting the queue state would
+let a long-poll landing in between report ``closed`` without the final
+event.
 """
 
 from __future__ import annotations
@@ -121,6 +127,11 @@ class ProgressBook:
                 if remaining <= 0.0:
                     return [], False
                 self._cond.wait(remaining)
+
+    def seen(self, key: str) -> bool:
+        """True once any event was posted for ``key`` in this server life."""
+        with self._cond:
+            return key in self._next_seq
 
     def next_seq(self, key: str) -> int:
         """The seq the *next* event for ``key`` will get (the cursor a

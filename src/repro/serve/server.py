@@ -325,14 +325,16 @@ class CampaignServer:
             max(request.query_float("timeout", 25.0), 0.0), MAX_WAIT_S
         )
         events, book_closed = self.progress.snapshot(key, since)
-        if not events and not book_closed and not job.terminal and timeout_s:
+        # A job the book has seen closes only through the book, after
+        # its final event; the queue's terminal state speaks only for
+        # jobs finished in an earlier server life (see ProgressBook).
+        ended_unseen = job.terminal and not self.progress.seen(key)
+        if not events and not book_closed and not ended_unseen and timeout_s:
             # Park off the event loop; posts wake the condition.
             events, book_closed = await asyncio.to_thread(
                 self.progress.wait, key, since, timeout_s
             )
-        current = self.queue.get(key)
-        state = current.state if current is not None else job.state
-        terminal = current.terminal if current is not None else job.terminal
+        current = self.queue.get(key) or job
         next_seq = (
             max(int(e["seq"]) for e in events) + 1  # type: ignore[call-overload]
             if events
@@ -342,8 +344,8 @@ class CampaignServer:
             200,
             {
                 "key": key,
-                "state": state,
-                "closed": bool(book_closed or terminal),
+                "state": current.state,
+                "closed": book_closed or ended_unseen,
                 "next": next_seq,
                 "events": events,
             },

@@ -11,7 +11,6 @@ complementary binary faulty value.
 """
 
 from repro.sim.values import V0, V1, VX, Value, invert, resolve_char, to_char
-from repro.sim.backend import BACKENDS, resolve_backend, validate_backend
 from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.logicsim import LogicSimulator, SimTrace
 from repro.sim.faults import Fault, all_faults, fault_name
@@ -36,9 +35,6 @@ __all__ = [
     "invert",
     "to_char",
     "resolve_char",
-    "BACKENDS",
-    "resolve_backend",
-    "validate_backend",
     "CompiledCircuit",
     "compile_circuit",
     "LogicSimulator",

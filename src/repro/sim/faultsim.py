@@ -13,12 +13,18 @@ Detection criterion (paper semantics, no reset): fault ``f`` is detected
 at time ``u`` iff some primary output has a *binary* fault-free value
 and the complementary binary value in ``f``'s machine.
 
-Two front ends share the stepping engine:
+Two front ends drive the simulation:
 
 * :class:`FaultSimulator` — whole-sequence runs with fault dropping.
 * :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping with
   snapshot/restore, used by the simulation-based test generator to
   evaluate candidate patterns without re-simulating the prefix.
+
+Both run on the word-packed kernel of :mod:`repro.sim.vector`, which
+packs every fault of a run at once.  The per-group :class:`_GroupSim`
+engine below is the retained reference semantics: the simulators'
+``oracle`` flag selects it, and only the differential tests set it,
+to prove the kernel bit-identical to it.
 
 :class:`FaultSimulator` optionally plugs into the runtime layer
 (:mod:`repro.runtime`): given a
@@ -48,7 +54,6 @@ from repro.sim.compile import (
     OP_XNOR,
     compile_circuit,
 )
-from repro.sim.backend import resolve_backend
 from repro.sim.faults import Fault, FaultPruner, fault_name, validate_fault
 from repro.sim.values import V0, V1, VX, Value
 from repro.sim.vector.packing import WORD_BITS
@@ -326,6 +331,11 @@ class FaultSimulator:
     unpruned run (certified faults are never detectable).  Pruning is
     skipped for line-recording runs, whose per-net discrepancy sets are
     meaningful even for unobservable faults.
+
+    With ``oracle`` set, runs use the per-group :class:`_GroupSim`
+    reference engine instead of the word-packed kernel, serially and
+    uncached (``runtime`` is ignored).  It exists for the differential
+    tests only.
     """
 
     def __init__(
@@ -334,23 +344,17 @@ class FaultSimulator:
         compiled: CompiledCircuit | None = None,
         runtime=None,
         pruner: Optional[FaultPruner] = None,
-        backend: Optional[str] = None,
+        oracle: bool = False,
     ) -> None:
         self.circuit = circuit
         self.comp = compiled or compile_circuit(circuit)
         self.runtime = runtime
         self.pruner = pruner
-        self.backend = resolve_backend(backend, runtime)
+        self.oracle = oracle
         self._prune_traced = False
         self._flop_pos = {name: i for i, name in enumerate(circuit.flops)}
         self._cache_ids_memo: Optional[Tuple[str, str]] = None
         self._vec_engine = None
-
-    @property
-    def _use_vector(self) -> bool:
-        """Vector kernel applies only to the exact base class — subclasses
-        carry different step semantics the kernel does not implement."""
-        return self.backend == "vector" and type(self) is FaultSimulator
 
     def _vector_engine(self):
         if self._vec_engine is None:
@@ -362,13 +366,9 @@ class FaultSimulator:
     # -- runtime plumbing ---------------------------------------------------
 
     def _ctx(self):
-        """The runtime context, but only for the exact base class.
-
-        Subclasses with different semantics (they would corrupt the
-        cache and the workers run plain stuck-at simulation) fall back
-        to serial, uncached behaviour unless they opt in themselves.
-        """
-        return self.runtime if type(self) is FaultSimulator else None
+        """The runtime context; None for the oracle, which must not be
+        served kernel results from the cache or the worker pool."""
+        return None if self.oracle else self.runtime
 
     def _cache_ids(self) -> Tuple[str, str]:
         """(circuit fingerprint, canonical bench text), memoized."""
@@ -523,7 +523,7 @@ class FaultSimulator:
             return self._simulate_sharded(
                 stimulus, faults, record_lines, stop_when_all_detected, ctx
             )
-        if self._use_vector:
+        if not self.oracle:
             detection, vlines = self._vector_engine().run(
                 stimulus,
                 faults,
@@ -587,7 +587,6 @@ class FaultSimulator:
             groups,
             record_lines,
             stop_when_all_detected,
-            backend=self.backend,
         )
         detection: Dict[Fault, int] = {}
         lines: Dict[Fault, Set[str]] = {f: set() for f in faults} if record_lines else {}
@@ -649,7 +648,7 @@ class FaultSimulator:
         stimulus: Sequence[Sequence[Value]],
         faults: Sequence[Fault],
     ) -> bool:
-        if self._use_vector:
+        if not self.oracle:
             return self._vector_engine().screen(stimulus, faults)
         for start in range(0, len(faults), GROUP_FAULTS):
             group = faults[start : start + GROUP_FAULTS]
@@ -668,27 +667,13 @@ class FaultSimulator:
 
         Verdict ``i`` is exactly ``detects_any(stimuli[i], faults)``;
         with a multi-worker runtime the uncached screens run on the
-        pool concurrently (cached ones are answered locally), and the
-        vector backend screens all uncached stimuli in one multi-block
-        kernel pass even without a worker pool.
+        pool concurrently (cached ones are answered locally); without a
+        pool, all uncached stimuli share one multi-block kernel pass.
         """
         stimuli = list(stimuli)
-        ctx = self._ctx()
-        pooled = ctx is not None and ctx.executor.jobs > 1
-        if len(stimuli) <= 1 or not (pooled or self._use_vector):
+        if len(stimuli) <= 1 or self.oracle:
             return [self.detects_any(s, faults) for s in stimuli]
-        if ctx is None:
-            # Vector backend without a runtime: no cache or stats to
-            # maintain, just one batched kernel screen.
-            faults = list(faults)
-            for fault in faults:
-                validate_fault(self.circuit, fault)
-            kept = self._prune(faults)
-            if kept is not None:
-                if not kept:
-                    return [False] * len(stimuli)
-                faults = kept
-            return self._vector_engine().screen_batch(stimuli, faults)
+        ctx = self._ctx()
         faults = list(faults)
         for fault in faults:
             validate_fault(self.circuit, fault)
@@ -699,7 +684,7 @@ class FaultSimulator:
             faults = kept
         verdicts: List[Optional[bool]] = [None] * len(stimuli)
         keys: Optional[List[str]] = None
-        if ctx.cache is not None:
+        if ctx is not None and ctx.cache is not None:
             keys = [
                 self._artifact_key(s, faults, {"kind": "screen"})
                 for s in stimuli
@@ -718,13 +703,12 @@ class FaultSimulator:
         else:
             pending = list(range(len(stimuli)))
         if pending:
-            if pooled:
+            if ctx is not None and ctx.executor.jobs > 1:
                 _, bench_text = self._cache_ids()
                 outcomes = ctx.executor.screen_batch(
                     bench_text,
                     [tuple(tuple(p) for p in stimuli[i]) for i in pending],
                     list(faults),
-                    backend=self.backend,
                 )
             else:
                 outcomes = self._vector_engine().screen_batch(
@@ -732,9 +716,10 @@ class FaultSimulator:
                 )
             for i, verdict in zip(pending, outcomes):
                 verdicts[i] = verdict
-                ctx.stats.screen_simulations += 1
-                if keys is not None:
-                    ctx.cache.put(keys[i], {"detects": verdict})
+                if ctx is not None:
+                    ctx.stats.screen_simulations += 1
+                    if keys is not None:
+                        ctx.cache.put(keys[i], {"detects": verdict})
         return verdicts  # type: ignore[return-value] — every slot is filled
 
     def run_batch(
@@ -747,12 +732,12 @@ class FaultSimulator:
         """Whole-sequence runs over several stimuli against one fault list.
 
         Result ``i`` is exactly ``run(stimuli[i], faults, ...)``.  The
-        vector backend simulates the uncached stimuli together, packing
-        each into its own word-aligned lane block of a single kernel;
-        other configurations fall back to a plain loop.
+        uncached stimuli are simulated together, each packed into its
+        own word-aligned lane block of a single kernel; line recording
+        and the oracle fall back to a plain loop.
         """
         stimuli = list(stimuli)
-        if not self._use_vector or record_lines or len(stimuli) <= 1:
+        if self.oracle or record_lines or len(stimuli) <= 1:
             return [
                 self.run(s, faults, record_lines, stop_when_all_detected)
                 for s in stimuli
@@ -827,6 +812,10 @@ class IncrementalFaultSimulator:
     Used by the simulation-based test generator: candidate patterns are
     *peeked* (stepped on a copy of the state) and the best one is
     *committed*, so the growing sequence's prefix is never re-simulated.
+
+    With ``oracle`` set, it steps the per-group :class:`_GroupSim`
+    reference engine instead of the word-packed kernel (differential
+    tests only).
     """
 
     def __init__(
@@ -834,18 +823,17 @@ class IncrementalFaultSimulator:
         circuit: Circuit,
         faults: Sequence[Fault],
         compiled: CompiledCircuit | None = None,
-        backend: Optional[str] = None,
+        oracle: bool = False,
     ) -> None:
         self.circuit = circuit
         self.comp = compiled or compile_circuit(circuit)
-        self.backend = resolve_backend(backend)
         flop_pos = {name: i for i, name in enumerate(circuit.flops)}
         faults = list(faults)
         for fault in faults:
             validate_fault(circuit, fault)
         self._vec = None
         self._groups: List[_GroupSim] = []
-        if self.backend == "vector":
+        if not oracle:
             from repro.sim.vector.engine import VectorIncremental
 
             self._vec = VectorIncremental(self.comp, flop_pos, faults)

@@ -1,4 +1,4 @@
-"""Vectorized bit-parallel fault-simulation backend.
+"""Vectorized bit-parallel fault-simulation engine.
 
 The package packs the good machine plus every faulty machine of a run
 into contiguous machine words and evaluates levelized gates as bitwise
@@ -16,7 +16,8 @@ same word-level semantics:
 
 Both kernels execute the same :class:`~repro.sim.vector.program.VectorProgram`
 and are proven bit-identical to the pure-Python oracle in
-``repro.sim.faultsim`` by the cross-backend differential test suite.
+``repro.sim.faultsim`` (the simulators' ``oracle`` flag) by the
+differential test suite.
 """
 
 from repro.sim.vector.packing import (

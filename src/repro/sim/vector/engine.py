@@ -1,8 +1,8 @@
 """High-level driver for the vector kernels.
 
 :class:`VectorEngine` is the front end :class:`~repro.sim.faultsim.FaultSimulator`
-delegates to for ``backend="vector"``: whole-sequence runs, line
-recording, screening, and multi-stimulus batched screening/runs.
+delegates to (unless its ``oracle`` flag is set): whole-sequence runs,
+line recording, screening, and multi-stimulus batched screening/runs.
 :class:`VectorIncremental` backs ``IncrementalFaultSimulator``.
 
 Semantics are defined by the pure-Python oracle; everything here is
@@ -56,7 +56,7 @@ def _popcount(mask: int) -> int:
 
 
 class VectorEngine:
-    """Vector-backend driver for one compiled circuit."""
+    """Vector-kernel driver for one compiled circuit."""
 
     def __init__(self, comp: CompiledCircuit, flop_pos: Dict[str, int]) -> None:
         self.comp = comp
@@ -279,7 +279,7 @@ class VectorEngine:
 
 
 class VectorIncremental:
-    """Vector backend for :class:`~repro.sim.faultsim.IncrementalFaultSimulator`."""
+    """Vector kernel for :class:`~repro.sim.faultsim.IncrementalFaultSimulator`."""
 
     def __init__(
         self,

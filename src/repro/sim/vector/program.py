@@ -11,7 +11,7 @@ Fault forces come in three shapes, mirroring the oracle exactly:
 
 Stem faults on constant nets are dropped: the pure-Python engine
 rewrites constant rows after applying stem forces, so such forces are
-silently inert there, and the vector backend must agree.
+silently inert there, and the vector kernel must agree.
 
 Two schedule views serve the two kernels:
 

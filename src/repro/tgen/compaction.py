@@ -60,7 +60,6 @@ def compact_sequence(
     max_simulations: int = 200,
     compiled: CompiledCircuit | None = None,
     runtime=None,
-    sim_backend=None,
 ) -> CompactionResult:
     """Statically compact ``sequence`` while preserving detection of
     every fault in ``target_faults``.
@@ -81,11 +80,9 @@ def compact_sequence(
     runtime:
         Optional :class:`~repro.runtime.context.RuntimeContext` for
         cached / parallel fault simulation.
-    sim_backend:
-        Fault-simulation backend (results are backend-independent).
     """
     comp = compiled or compile_circuit(circuit)
-    sim = FaultSimulator(circuit, comp, runtime=runtime, backend=sim_backend)
+    sim = FaultSimulator(circuit, comp, runtime=runtime)
     faults = list(target_faults)
     checks = 0
 

@@ -68,7 +68,6 @@ def generate_test_sequence(
     candidates: int = 4,
     patience: int = 64,
     compiled: CompiledCircuit | None = None,
-    sim_backend=None,
 ) -> GeneratedTest:
     """Generate a deterministic test sequence for ``circuit``.
 
@@ -90,15 +89,11 @@ def generate_test_sequence(
         step), which is both faster and a useful perturbation.
     compiled:
         Optional pre-compiled circuit to reuse.
-    sim_backend:
-        Fault-simulation backend (results are backend-independent).
     """
     comp = compiled or compile_circuit(circuit)
     if faults is None:
         faults = collapse_faults(circuit)
-    sim = IncrementalFaultSimulator(
-        circuit, list(faults), comp, backend=sim_backend
-    )
+    sim = IncrementalFaultSimulator(circuit, list(faults), comp)
     rng = DeterministicRng(seed)
     n_pi = len(circuit.inputs)
 

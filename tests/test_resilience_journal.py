@@ -202,9 +202,9 @@ def test_tampered_checkpoint_is_recomputed_not_trusted(
     calls = []
     real_flow_for = experiments.flow_for
 
-    def counting(name, l_g=None, runtime=None, sim_backend="auto"):
+    def counting(name, l_g=None, runtime=None):
         calls.append(name)
-        return real_flow_for(name, l_g, runtime=runtime, sim_backend=sim_backend)
+        return real_flow_for(name, l_g, runtime=runtime)
 
     monkeypatch.setattr(experiments, "flow_for", counting)
     with RuntimeContext(cache_dir=cache, resume=True) as resumed:
@@ -230,10 +230,10 @@ def test_interrupted_sweep_resumes_to_the_identical_report(
     experiments.clear_cache()
     cache = tmp_path / "cache"
 
-    def interrupted(name, l_g=None, runtime=None, sim_backend="auto"):
+    def interrupted(name, l_g=None, runtime=None):
         if name == "g208":
             raise SweepInterrupted("SIGTERM")
-        return real_flow_for(name, l_g, runtime=runtime, sim_backend=sim_backend)
+        return real_flow_for(name, l_g, runtime=runtime)
 
     monkeypatch.setattr(experiments, "flow_for", interrupted)
     with RuntimeContext(cache_dir=cache) as rt:
@@ -246,9 +246,9 @@ def test_interrupted_sweep_resumes_to_the_identical_report(
     experiments.clear_cache()
     calls = []
 
-    def counting(name, l_g=None, runtime=None, sim_backend="auto"):
+    def counting(name, l_g=None, runtime=None):
         calls.append(name)
-        return real_flow_for(name, l_g, runtime=runtime, sim_backend=sim_backend)
+        return real_flow_for(name, l_g, runtime=runtime)
 
     monkeypatch.setattr(experiments, "flow_for", counting)
     with RuntimeContext(cache_dir=cache, resume=True) as resumed:

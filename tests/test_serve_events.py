@@ -10,11 +10,14 @@ in-process scheduler (workers=1) or a supervised worker pool
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.serve.job import JobSpec
+from repro.serve.progress import ProgressBook
 
 FAST = dict(circuit="s27", tgen_max_len=256, compaction_sims=8, l_g=64)
 
@@ -90,3 +93,31 @@ def test_events_cursor_and_error_paths(tmp_path):
             client.events("no-such-job")
         with pytest.raises(ServeError):
             client.events(key, since=-1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_watch_survives_finish_before_done_post(tmp_path, monkeypatch, workers):
+    """Both execution paths mark the job terminal in the queue before
+    they post ``job_done``.  Hold that window open far longer than one
+    long-poll park: every poll landing in it must report the feed
+    open, so ``watch()`` still ends on ``job_done``."""
+    real_post = ProgressBook.post
+    held = []
+
+    def delayed_post(self, key, kind, attrs=None):
+        if kind == "job_done":
+            held.append(key)
+            time.sleep(1.0)
+        real_post(self, key, kind, attrs)
+
+    monkeypatch.setattr(ProgressBook, "post", delayed_post)
+    config = ServerConfig(
+        state_dir=tmp_path / "state", port=0, workers=workers
+    )
+    with ServerThread(config) as url:
+        client = ServeClient(url)
+        key = client.submit(fast_spec(seed=7))["key"]
+        events = list(client.watch(key, timeout_s=120.0, poll_timeout_s=0.1))
+        final = client.events(key)
+    assert held == [key], "the window was never opened"
+    check_stream(events, final)

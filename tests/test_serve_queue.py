@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ServeError
 from repro.serve.job import CANCELLED, DONE, QUEUED, RUNNING, TASKS, Job, JobSpec
 from repro.serve.queue import JobQueue
 
@@ -458,3 +459,34 @@ def test_shard_merge_round_trip_equals_unsharded_view(ops, claims):
         }
         plain_view = {j.key: j.to_dict() for j in restored_plain.jobs()}
         assert sharded_view == plain_view
+
+
+@pytest.mark.parametrize("legacy", ["auto", "python", "vector"])
+def test_restore_keeps_jobs_journaled_with_retired_sim_backend(tmp_path, legacy):
+    """Journals written while specs still carried the retired
+    ``sim_backend`` selector restore every job under its old key and
+    state; the key never depended on it."""
+    path = tmp_path / "journal.json"
+    queue = JobQueue(path)
+    done, _ = queue.submit(make_spec(1))
+    queue.claim_next()
+    queue.finish(done.key, ok=True)
+    queued, _ = queue.submit(make_spec(2))
+    for job in (queue.get(done.key), queue.get(queued.key)):
+        record = job.to_dict()
+        record["spec"] = dict(record["spec"], sim_backend=legacy)
+        queue._journal.record(job.key, record)
+    restored = JobQueue(path)
+    assert restored.get(done.key).state == DONE
+    assert restored.get(queued.key).state == QUEUED
+    assert restored.get(done.key).to_dict() == queue.get(done.key).to_dict()
+
+
+def test_from_dict_accepts_only_the_retired_sim_backend_values():
+    spec = make_spec(1)
+    payload = spec.to_dict()
+    assert JobSpec.from_dict(dict(payload, sim_backend="python")) == spec
+    with pytest.raises(ServeError, match="sim_backend"):
+        JobSpec.from_dict(dict(payload, sim_backend="gpu"))
+    with pytest.raises(ServeError, match="unknown job spec field"):
+        JobSpec.from_dict(dict(payload, engine="vector"))

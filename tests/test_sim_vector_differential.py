@@ -1,13 +1,14 @@
-"""Cross-backend differential tests for the word-packed fault simulator.
+"""Differential tests for the word-packed fault simulator.
 
-The vector backend (:mod:`repro.sim.vector`) is a drop-in replacement
-for the pure-Python oracle: same :class:`FaultSimResult`, same
-detection times, same recorded discrepancy lines, for every circuit,
-fault list and ternary stimulus.  These tests enforce that contract —
-by hypothesis over random synthetic circuits, over the bundled
-``.bench`` fixtures and library circuits, under both word packings,
-with the numpy fallback forced, with pruned configurations, and at the
-word-width boundaries the packing introduces.
+The vector kernel (:mod:`repro.sim.vector`) is a drop-in replacement
+for the pure-Python oracle (``oracle=True``): same
+:class:`FaultSimResult`, same detection times, same recorded
+discrepancy lines, for every circuit, fault list and ternary stimulus.
+These tests enforce that contract — by hypothesis over random
+synthetic circuits, over the bundled ``.bench`` fixtures and library
+circuits, under both word packings, with the numpy fallback forced,
+with pruned configurations, and at the word-width boundaries the
+packing introduces.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _assert_same_result(a, b, context=""):
 
 def _run_both(circuit, stimulus, faults, packing, monkeypatch, **kw):
     monkeypatch.setenv("REPRO_SIM_PACKING", packing)
-    oracle = FaultSimulator(circuit, backend="python").run(
+    oracle = FaultSimulator(circuit, oracle=True).run(
         stimulus, faults, **kw
     )
-    vector = FaultSimulator(circuit, backend="vector").run(
+    vector = FaultSimulator(circuit).run(
         stimulus, faults, **kw
     )
     return oracle, vector
@@ -82,11 +83,11 @@ class TestRandomCircuits:
         if rng.random() < 0.5:
             faults = [f for f in faults if rng.random() < 0.5]
         stimulus = _random_stimulus(rng, n_pi, 12)
-        oracle = FaultSimulator(circuit, backend="python").run(
+        oracle = FaultSimulator(circuit, oracle=True).run(
             stimulus, faults, record_lines=record,
             stop_when_all_detected=not record,
         )
-        vector = FaultSimulator(circuit, backend="vector").run(
+        vector = FaultSimulator(circuit).run(
             stimulus, faults, record_lines=record,
             stop_when_all_detected=not record,
         )
@@ -100,8 +101,8 @@ class TestRandomCircuits:
     def test_incremental_agrees(self, seed, stim_seed):
         circuit = synthesize(SynthSpec("hyp", 3, 2, 3, 12, seed=seed))
         faults = all_faults(circuit)
-        inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
-        inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        inc_py = IncrementalFaultSimulator(circuit, faults, oracle=True)
+        inc_vec = IncrementalFaultSimulator(circuit, faults)
         rng = random.Random(stim_seed)
         for cycle in range(12):
             pattern = [rng.choice([0, 1, 2]) for _ in circuit.inputs]
@@ -150,8 +151,8 @@ class TestFixtureCircuits:
         stimuli = [
             _random_stimulus(rng, len(circuit.inputs), 20) for _ in range(5)
         ]
-        oracle = FaultSimulator(circuit, backend="python")
-        vector = FaultSimulator(circuit, backend="vector")
+        oracle = FaultSimulator(circuit, oracle=True)
+        vector = FaultSimulator(circuit)
         for stimulus in stimuli:
             assert oracle.detects_any(stimulus, faults) == vector.detects_any(
                 stimulus, faults
@@ -169,7 +170,7 @@ class TestFixtureCircuits:
     def test_power_up_state_sweep(self, packing, monkeypatch):
         """reset_state restores the all-X power-up state exactly: a
         second sweep of the same walk detects the same faults at the
-        same steps, on both backends."""
+        same steps, on the kernel and the oracle."""
         monkeypatch.setenv("REPRO_SIM_PACKING", packing)
         circuit = load_circuit("s27")
         faults = all_faults(circuit)
@@ -177,8 +178,8 @@ class TestFixtureCircuits:
         walk = [
             [rng.choice([0, 1, 2]) for _ in circuit.inputs] for _ in range(8)
         ]
-        for backend in ("python", "vector"):
-            inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+        for oracle in (True, False):
+            inc = IncrementalFaultSimulator(circuit, faults, oracle=oracle)
             first = [inc.step(p) for p in walk]
             detected_once = sorted(
                 f for newly in first for f in newly
@@ -196,20 +197,20 @@ class TestFixtureCircuits:
         pruner = FaultPruner(circuit)
         rng = random.Random(5)
         stimulus = _random_stimulus(rng, len(circuit.inputs), 15)
-        oracle = FaultSimulator(circuit, pruner=pruner, backend="python").run(
+        oracle = FaultSimulator(circuit, pruner=pruner, oracle=True).run(
             stimulus, faults
         )
-        vector = FaultSimulator(circuit, pruner=pruner, backend="vector").run(
+        vector = FaultSimulator(circuit, pruner=pruner).run(
             stimulus, faults
         )
         _assert_same_result(oracle, vector)
         # And pruned == unpruned (the pruner's standing soundness claim).
-        plain = FaultSimulator(circuit, backend="vector").run(stimulus, faults)
+        plain = FaultSimulator(circuit).run(stimulus, faults)
         _assert_same_result(vector, plain)
 
 
 class TestNoNumpyFallback:
-    """The vector backend works — identically — without numpy."""
+    """The vector kernel works — identically — without numpy."""
 
     def test_pure_stdlib_packing(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -219,10 +220,10 @@ class TestNoNumpyFallback:
         faults = all_faults(circuit)
         rng = random.Random(9)
         stimulus = _random_stimulus(rng, len(circuit.inputs), 20)
-        oracle = FaultSimulator(circuit, backend="python").run(
+        oracle = FaultSimulator(circuit, oracle=True).run(
             stimulus, faults, record_lines=True, stop_when_all_detected=False
         )
-        vector = FaultSimulator(circuit, backend="vector").run(
+        vector = FaultSimulator(circuit).run(
             stimulus, faults, record_lines=True, stop_when_all_detected=False
         )
         _assert_same_result(oracle, vector)
@@ -276,7 +277,7 @@ class TestWordBoundaries:
 
     def test_zero_faults(self):
         circuit = load_circuit("s27")
-        result = FaultSimulator(circuit, backend="vector").run(
+        result = FaultSimulator(circuit).run(
             [[0, 1, 0, 1]], []
         )
         assert result.n_faults == 0
@@ -286,8 +287,8 @@ class TestWordBoundaries:
     def test_empty_stimulus(self):
         circuit = load_circuit("s27")
         faults = all_faults(circuit)
-        oracle = FaultSimulator(circuit, backend="python").run([], faults)
-        vector = FaultSimulator(circuit, backend="vector").run([], faults)
+        oracle = FaultSimulator(circuit, oracle=True).run([], faults)
+        vector = FaultSimulator(circuit).run([], faults)
         _assert_same_result(oracle, vector)
         assert vector.detection_time == {}
 
@@ -318,8 +319,8 @@ class TestIncrementalPartialDetection:
     def test_regroup_after_partial_detection(self):
         circuit = load_circuit("g208")
         faults = all_faults(circuit)
-        inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
-        inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        inc_py = IncrementalFaultSimulator(circuit, faults, oracle=True)
+        inc_vec = IncrementalFaultSimulator(circuit, faults)
         rng = random.Random(21)
         detected_total = 0
         for cycle in range(30):
@@ -338,13 +339,13 @@ class TestIncrementalPartialDetection:
         assert inc_py.n_remaining == inc_vec.n_remaining
 
     def test_detects_any_short_circuit_parity(self):
-        """detects_any answers identically whether or not the backend
+        """detects_any answers identically whether or not the engine
         short-circuits on first detection."""
         circuit = load_circuit("s27")
         faults = all_faults(circuit)
         rng = random.Random(13)
-        oracle = FaultSimulator(circuit, backend="python")
-        vector = FaultSimulator(circuit, backend="vector")
+        oracle = FaultSimulator(circuit, oracle=True)
+        vector = FaultSimulator(circuit)
         hits = misses = 0
         for _ in range(12):
             stimulus = _random_stimulus(rng, len(circuit.inputs), 6)
