@@ -225,6 +225,8 @@ class CampaignServer:
                 priority=spec.priority,
             )
             self._event("job_queued", key=job.key)
+            # A revived cancelled/shed job reuses its key: reopen its feed.
+            self.progress.reopen(job.key)
             self.progress.post(
                 job.key, "job_queued",
                 {"circuit": spec.circuit, "priority": spec.priority},

@@ -2,9 +2,10 @@
 integer-indexed form both simulators execute.
 
 Net names are mapped to dense indices once; gates become ``(opcode,
-out_index, fanin_indices)`` triples in topological order.  Both the
-scalar reference simulator and the bit-parallel fault simulator execute
-this compiled form, so they agree on evaluation order by construction.
+out_index, fanin_indices)`` triples in topological order.  Every
+simulator — the vector kernel, the per-group oracle and the fault-free
+:class:`~repro.sim.logicsim.LogicSimulator` — executes this form, so
+they agree on evaluation order by construction.
 """
 
 from __future__ import annotations

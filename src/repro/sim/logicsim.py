@@ -1,10 +1,14 @@
-"""Reference 3-valued sequential logic simulator (fault-free machine).
+"""Fault-free 3-valued sequential simulation on the vector kernel.
 
-This scalar simulator defines the golden semantics: the bit-parallel
-fault simulator is cross-checked against it in the test suite.  It is
-also used wherever only fault-free behaviour is needed (e.g. verifying
-that a synthesized test pattern generator replays the intended weighted
-sequences).
+:class:`LogicSimulator` runs the good machine alone: a fault-free
+:class:`~repro.sim.vector.program.VectorProgram` stepped by a one-lane
+:class:`~repro.sim.vector.kernels.IntKernel`, the same generated step
+the fault simulator uses, with the dual-rail rows decoded back to
+ternary values.  It serves everything that needs only fault-free
+behaviour: replay verification of a synthesized test pattern
+generator, MISR grading, closure, diagnosis and the transition-fault
+good machine.  The test suite checks it against an interpreted
+per-gate reference simulator.
 """
 
 from __future__ import annotations
@@ -14,28 +18,13 @@ from typing import List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
-from repro.sim.compile import (
-    CompiledCircuit,
-    OP_AND,
-    OP_BUF,
-    OP_NAND,
-    OP_NOR,
-    OP_NOT,
-    OP_OR,
-    OP_XNOR,
-    OP_XOR,
-    compile_circuit,
-)
-from repro.sim.values import (
-    V0,
-    V1,
-    VX,
-    Value,
-    and_reduce,
-    invert,
-    or_reduce,
-    xor_reduce,
-)
+from repro.sim.compile import CompiledCircuit, compile_circuit
+from repro.sim.values import V0, V1, VX, Value
+from repro.sim.vector.kernels import IntKernel
+from repro.sim.vector.program import build_program
+
+#: Ternary value of a one-lane dual-rail pair, indexed by ``o | z << 1``.
+_DECODE = (VX, V1, V0)
 
 
 @dataclass(frozen=True)
@@ -64,16 +53,17 @@ class SimTrace:
 
 
 class LogicSimulator:
-    """Levelized 3-valued sequential simulator for one circuit.
+    """3-valued sequential simulator for one circuit's good machine.
 
-    The simulator is stateless between :meth:`run` calls; each run
-    starts from the given initial state (all-X by default, matching the
-    no-reset assumption of the reproduced paper).
+    Each :meth:`run` starts from the given initial state (all-X by
+    default, matching the no-reset assumption of the reproduced paper).
+    The kernel is built on the first run and reused by later ones.
     """
 
     def __init__(self, circuit: Circuit, compiled: CompiledCircuit | None = None) -> None:
         self.circuit = circuit
         self.compiled = compiled or compile_circuit(circuit)
+        self._kernel: IntKernel | None = None
 
     def run(
         self,
@@ -97,72 +87,46 @@ class LogicSimulator:
         """
         comp = self.compiled
         n_pi = len(comp.pi_indices)
-        n_ff = len(comp.ff_indices)
+        if self._kernel is None:
+            self._kernel = IntKernel(build_program(comp, {}, ()), word_bits=1)
+        kern = self._kernel
         if initial_state is None:
-            state: List[Value] = [VX] * n_ff
+            kern.reset_state()
         else:
-            if len(initial_state) != n_ff:
+            if len(initial_state) != len(comp.ff_indices):
                 raise SimulationError(
                     f"initial state has {len(initial_state)} values, "
-                    f"circuit has {n_ff} flip-flops"
+                    f"circuit has {len(comp.ff_indices)} flip-flops"
                 )
-            state = list(initial_state)
+            kern.S_O = [int(v == V1) for v in initial_state]
+            kern.S_Z = [int(v == V0) for v in initial_state]
 
-        values: List[Value] = [VX] * comp.n_nets
+        O, Z = kern.O, kern.Z
+        po_rows = comp.po_indices
         outputs: List[Tuple[Value, ...]] = []
         states: List[Tuple[Value, ...]] = []
         net_trace: List[Tuple[Value, ...]] = []
-
         for u, pattern in enumerate(stimulus):
             if len(pattern) != n_pi:
                 raise SimulationError(
                     f"time {u}: pattern has {len(pattern)} values, "
                     f"circuit has {n_pi} primary inputs"
                 )
-            for idx, value in zip(comp.pi_indices, pattern):
+            for value in pattern:
                 if value not in (V0, V1, VX):
                     raise SimulationError(f"time {u}: bad ternary value {value!r}")
-                values[idx] = value
-            for idx, value in zip(comp.ff_indices, state):
-                values[idx] = value
-            for idx in comp.const0_indices:
-                values[idx] = V0
-            for idx in comp.const1_indices:
-                values[idx] = V1
-
-            for opcode, out, fanins in comp.ops:
-                values[out] = _eval_op(opcode, fanins, values)
-
-            outputs.append(tuple(values[idx] for idx in comp.po_indices))
-            states.append(tuple(state))
+            states.append(
+                tuple(_DECODE[o | z << 1] for o, z in zip(kern.S_O, kern.S_Z))
+            )
+            kern.step((pattern,))
+            outputs.append(tuple(_DECODE[O[i] | Z[i] << 1] for i in po_rows))
             if record_nets:
-                net_trace.append(tuple(values))
-            state = [values[idx] for idx in comp.ff_next_indices]
+                net_trace.append(
+                    tuple(_DECODE[o | z << 1] for o, z in zip(O, Z))
+                )
 
         return SimTrace(
             outputs=tuple(outputs),
             states=tuple(states),
             nets=tuple(net_trace),
         )
-
-
-def _eval_op(opcode: int, fanins: Tuple[int, ...], values: List[Value]) -> Value:
-    """Evaluate one compiled gate in scalar ternary logic."""
-    ins = [values[f] for f in fanins]
-    if opcode == OP_AND:
-        return and_reduce(ins)
-    if opcode == OP_NAND:
-        return invert(and_reduce(ins))
-    if opcode == OP_OR:
-        return or_reduce(ins)
-    if opcode == OP_NOR:
-        return invert(or_reduce(ins))
-    if opcode == OP_XOR:
-        return xor_reduce(ins)
-    if opcode == OP_XNOR:
-        return invert(xor_reduce(ins))
-    if opcode == OP_NOT:
-        return invert(ins[0])
-    if opcode == OP_BUF:
-        return ins[0]
-    raise SimulationError(f"unknown opcode {opcode}")

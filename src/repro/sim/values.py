@@ -1,8 +1,8 @@
 """Scalar 3-valued logic.
 
 Values are plain ints: ``0``, ``1`` and ``VX`` (unknown, encoded as 2).
-This module provides the scalar evaluation used by the reference logic
-simulator and by tests that cross-check the bit-parallel engine.
+This module provides the scalar evaluation used by composite ATPG
+simulation and by the interpreted reference simulators of the tests.
 """
 
 from __future__ import annotations

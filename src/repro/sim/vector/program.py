@@ -18,7 +18,8 @@ Two schedule views serve the two kernels:
 * :attr:`VectorProgram.flat_ops` — the oracle's topological op order
   with per-op stem/pin forces, for the big-int kernel (same shape as
   ``_GroupSim._ops``, so the evaluation loop is a line-for-line mirror).
-* :attr:`VectorProgram.waves` — for the numpy kernel, ops are packed
+* :attr:`VectorProgram.waves` — for the numpy kernel (built on first
+  use, so only a :class:`NumpyKernel` pays for it), ops are packed
   into *waves* by a greedy ready-set scheduler: each wave holds same-
   ``(opcode, arity)`` gates whose fanins are all computed, so one
   gather + one reduce evaluates the whole wave.  Pin forces ride along
@@ -47,7 +48,7 @@ class VectorProgram:
         "lanes",
         "n_circuit_rows",
         "flat_ops",
-        "waves",
+        "_waves",
         "load_forces",
         "ff_capture",
         "pi_rows",
@@ -72,11 +73,18 @@ class VectorProgram:
         self.const1_rows = comp.const1_indices
         # Filled by build_program:
         self.flat_ops: Tuple = ()
-        self.waves: Tuple = ()
+        self._waves: Tuple | None = None
         self.load_forces: Tuple[Tuple[int, int, int], ...] = ()
         self.ff_capture: Dict[int, Tuple[int, int]] = {}
         # Compiled-step cache, shared by all int kernels of this program.
         self.codegen_cache: Dict = {}
+
+    @property
+    def waves(self) -> Tuple:
+        """The numpy schedule of :attr:`flat_ops`, built on first use."""
+        if self._waves is None:
+            self._waves = _build_waves(self.flat_ops)
+        return self._waves
 
 
 def build_program(
@@ -132,34 +140,27 @@ def build_program(
         )
         for opcode, out, fanins in comp.ops
     )
-
-    _build_waves(prog, stem_force, pin_force)
     return prog
 
 
-def _build_waves(
-    prog: VectorProgram,
-    stem_force: Dict[int, List[int]],
-    pin_force: Dict[int, Dict[int, List[int]]],
-) -> None:
-    """The numpy schedule: ops packed into class waves.
+def _build_waves(ops: Tuple) -> Tuple:
+    """The numpy schedule: ``flat_ops`` packed into class waves.
 
     Greedy ready-set scheduling: repeatedly flush the (opcode, arity)
     class with the most ready ops.  Deterministic: ties break on the
     class key, waves keep op emission order.
     """
-    ops = prog.comp.ops
-    producer = {out: i for i, (_, out, _) in enumerate(ops)}
+    producer = {op[1]: i for i, op in enumerate(ops)}
     missing = [0] * len(ops)
     consumers: Dict[int, List[int]] = {}
-    for i, (_, _, fanins) in enumerate(ops):
+    for i, (_, _, fanins, _, _) in enumerate(ops):
         deps = {producer[f] for f in fanins if f in producer}
         missing[i] = len(deps)
         for d in deps:
             consumers.setdefault(d, []).append(i)
 
     classes: Dict[Tuple[int, int], List[int]] = {}
-    for i, (opcode, _, fanins) in enumerate(ops):
+    for i, (opcode, _, fanins, _, _) in enumerate(ops):
         if missing[i] == 0:
             classes.setdefault((opcode, len(fanins)), []).append(i)
 
@@ -173,23 +174,23 @@ def _build_waves(
         outs = tuple(ops[i][1] for i in wave_ids)
         fanins = tuple(ops[i][2] for i in wave_ids)
         stems = tuple(
-            (pos, stem_force[out][0], stem_force[out][1])
-            for pos, out in enumerate(outs)
-            if out in stem_force
+            (pos, *ops[i][3])
+            for pos, i in enumerate(wave_ids)
+            if ops[i][3] is not None
         )
         pins = tuple(
             (pos, pin, f0, f1)
-            for pos, out in enumerate(outs)
-            if out in pin_force
-            for pin, (f0, f1) in sorted(pin_force[out].items())
+            for pos, i in enumerate(wave_ids)
+            if ops[i][4] is not None
+            for pin, (f0, f1) in sorted(ops[i][4].items())
         )
         waves.append((opcode, arity, outs, fanins, stems, pins))
         for i in wave_ids:
             for consumer in consumers.get(i, ()):
                 missing[consumer] -= 1
                 if missing[consumer] == 0:
-                    c_op, _, c_fanins = ops[consumer]
+                    c_op, _, c_fanins, _, _ = ops[consumer]
                     classes.setdefault((c_op, len(c_fanins)), []).append(
                         consumer
                     )
-    prog.waves = tuple(waves)
+    return tuple(waves)

@@ -2,8 +2,9 @@
 
 The central property: the unrolled time-frame model, simulated with
 the composite engine, must agree with the *sequential* simulators —
-good machine with :class:`LogicSimulator`, faulty machine with the
-bit-parallel fault simulator — at every net of every frame.
+good machine with the interpreted scalar reference simulator, faulty
+machine with the bit-parallel fault simulator — at every net of every
+frame.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg.unroll import unroll
 from repro.circuit.synth import SynthSpec, synthesize
-from repro.sim import LogicSimulator, collapse_faults
+from repro.sim import collapse_faults
 from repro.sim.compile import compile_circuit
 from repro.sim.faultsim import _GroupSim
 from repro.sim.values import V0, V1, VX
+from tests.logic_oracle import ScalarLogicSimulator
 
 bits = st.integers(min_value=0, max_value=1)
 
@@ -46,7 +48,7 @@ class TestUnrollEquivalence:
             for _ in range(n_frames)
         ]
         values = _model_values(model, patterns)
-        trace = LogicSimulator(circuit, comp).run(patterns, record_nets=True)
+        trace = ScalarLogicSimulator(circuit, comp).run(patterns, record_nets=True)
         for frame in range(n_frames):
             offset = frame * comp.n_nets
             for name, idx in comp.index.items():

@@ -10,6 +10,7 @@ in-process scheduler (workers=1) or a supervised worker pool
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import ServeError
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.serve.job import JobSpec
 from repro.serve.progress import ProgressBook
+from repro.serve.queue import JobQueue
 
 FAST = dict(circuit="s27", tgen_max_len=256, compaction_sims=8, l_g=64)
 
@@ -121,3 +123,36 @@ def test_watch_survives_finish_before_done_post(tmp_path, monkeypatch, workers):
         final = client.events(key)
     assert held == [key], "the window was never opened"
     check_stream(events, final)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_watch_follows_revived_job(tmp_path, monkeypatch, workers):
+    """Cancel a queued job, then resubmit it: admission revives it under
+    its old key, and the feed its cancellation closed must reopen, so
+    ``watch()`` follows the new run all the way to ``job_done``."""
+    gate = threading.Event()
+    for name in ("claim_next", "claim"):
+        real = getattr(JobQueue, name)
+
+        def held(self, *args, _real=real, **kwargs):
+            return _real(self, *args, **kwargs) if gate.is_set() else None
+
+        monkeypatch.setattr(JobQueue, name, held)
+    config = ServerConfig(
+        state_dir=tmp_path / "state", port=0, workers=workers
+    )
+    with ServerThread(config) as url:
+        client = ServeClient(url)
+        spec = fast_spec(seed=8)
+        key = client.submit(spec)["key"]
+        client.cancel(key)
+        revived = client.submit(spec)
+        assert revived["key"] == key and revived["created"] is True
+        assert client.events(key, timeout_s=0.0)["closed"] is False
+        gate.set()
+        events = list(client.watch(key, timeout_s=120.0))
+        final = client.events(key)
+    kinds = [e["kind"] for e in events]
+    assert kinds[:4] == ["job_queued", "job_cancelled", "job_queued", "job_running"]
+    assert kinds[-1] == "job_done"
+    assert final["closed"] is True and final["state"] == "done"

@@ -2,7 +2,7 @@
 
 Includes the golden cross-check: single-fault simulation must agree
 with brute-force simulation of an explicitly mutated circuit on the
-reference logic simulator.
+interpreted scalar reference simulator (not the kernel under test).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.errors import SimulationError
 from repro.sim import (
     Fault,
     FaultSimulator,
-    LogicSimulator,
     V0,
     V1,
     VX,
@@ -24,6 +23,7 @@ from repro.sim import (
     detection_times,
 )
 from repro.util.rng import DeterministicRng
+from tests.logic_oracle import ScalarLogicSimulator
 
 
 def _mutate(circuit: Circuit, fault: Fault) -> Circuit:
@@ -54,8 +54,8 @@ def _mutate(circuit: Circuit, fault: Fault) -> Circuit:
 
 def _detects_brute_force(circuit, fault, stimulus):
     """First detection time via explicit faulty-circuit simulation."""
-    good = LogicSimulator(circuit).run(stimulus)
-    bad = LogicSimulator(_mutate(circuit, fault)).run(stimulus)
+    good = ScalarLogicSimulator(circuit).run(stimulus)
+    bad = ScalarLogicSimulator(_mutate(circuit, fault)).run(stimulus)
     for u, (g_out, b_out) in enumerate(zip(good.outputs, bad.outputs)):
         for g, b in zip(g_out, b_out):
             if g in (V0, V1) and b in (V0, V1) and g != b:
